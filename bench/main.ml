@@ -635,7 +635,7 @@ let e13 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15 — the query service layer: plan-cache reuse and the            *)
-(* purity-gated parallel scheduler (lib/service, docs/SERVICE.md).    *)
+(* footprint-gated scheduler (lib/service, docs/SERVICE.md).          *)
 (* ------------------------------------------------------------------ *)
 
 module Svc = Xqb_service.Service
@@ -643,7 +643,7 @@ module Sched = Xqb_service.Scheduler
 
 let e15 () =
   print_header
-    "E15: query service — plan-cache reuse and purity-gated parallelism";
+    "E15: query service — plan-cache reuse and footprint-gated parallelism";
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host cores available: %d\n" cores;
   let expect_ok = function
@@ -658,9 +658,9 @@ let e15 () =
     in
     Core.Engine.serialize_with store (Xqb_xdm.Value.of_nodes [ doc ])
   in
-  (* Pure *and* allocation-free reads: these classify parallel-safe
-     and run on the scheduler's read side. The join dominates, so
-     per-job work is large relative to scheduling overhead. *)
+  (* Pure reads: their footprints write nothing, so the gate admits
+     them together. The join dominates, so per-job work is large
+     relative to scheduling overhead. *)
   let reads =
     [|
       {|count(for $p in $auction//person
@@ -705,24 +705,33 @@ let e15 () =
     "plan cache eliminates recompilation: repeat round %.1fx faster\n"
     (cold /. hot);
 
-  (* B. pure-query throughput: 32 heavy reads, scheduler off
-     (domains=0: synchronous, still lock-gated) vs a 4-domain pool.
-     Results must be identical; wall-clock speedup needs real cores. *)
-  let job_list = List.init 32 (fun i -> reads.(i mod Array.length reads)) in
+  (* B. pure-query throughput: 32 heavy reads from 4 sessions,
+     scheduler off (domains=0: synchronous, still gate-admitted) vs a
+     4-domain pool. One session's queries run one at a time, in
+     submission order (each job holds its session's lock), so the
+     reads spread over 4 sessions. Results must be identical;
+     wall-clock speedup needs real cores. *)
+  let gate_peaks svc =
+    let g = Sched.gate (Svc.scheduler svc) in
+    (Xqb_service.Rwlock.peak g, Xqb_service.Rwlock.writer_peak g)
+  in
+  let job_list =
+    List.init 32 (fun i -> (i mod 4, reads.(i mod Array.length reads)))
+  in
   let run domains =
     let svc = Svc.create ~domains () in
-    let sid = Svc.open_session svc in
-    Svc.load_document svc sid ~uri:"auction" xml;
+    let sids = Array.init 4 (fun _ -> Svc.open_session svc) in
+    Array.iter (fun sid -> Svc.load_document svc sid ~uri:"auction" xml) sids;
     (* warm: fill the plan cache and the store's lazy name indexes *)
-    Array.iter (fun q -> ignore (expect_ok (Svc.query svc sid q))) reads;
+    Array.iter (fun q -> ignore (expect_ok (Svc.query svc sids.(0) q))) reads;
     let results, ms =
       wall_ms (fun () ->
-          let futs = List.map (fun q -> Svc.submit svc sid q) job_list in
+          let futs = List.map (fun (k, q) -> Svc.submit svc sids.(k) q) job_list in
           List.map Sched.await_exn futs)
     in
-    let inflight = Xqb_service.Metrics.max_inflight (Svc.metrics svc) in
+    let peaks = gate_peaks svc in
     Svc.shutdown svc;
-    (List.map expect_ok results, ms, inflight)
+    (List.map expect_ok results, ms, peaks)
   in
   let seq_res, seq_ms, _ = run 0 in
   let one_res, one_ms, _ = run 1 in
@@ -735,11 +744,11 @@ let e15 () =
     [
       [ "off (domains=0, serialized)"; f1 seq_ms; "1.00x" ];
       [ "on (1 domain: pool overhead)"; f1 one_ms; f2 (seq_ms /. one_ms) ^ "x" ];
-      [ "on (4 domains, read side)"; f1 par_ms; f2 (seq_ms /. par_ms) ^ "x" ];
+      [ "on (4 domains)"; f1 par_ms; f2 (seq_ms /. par_ms) ^ "x" ];
     ];
   Printf.printf
     "results identical to sequential execution: %b\n\
-     peak concurrent pure queries inside the read gate: %d (the purity gate admits 4-way overlap)\n"
+     peak jobs admitted by the footprint gate at once: %d (read footprints never conflict)\n"
     (seq_res = par_res && seq_res = one_res)
     par_peak;
   if cores < 4 then
@@ -749,8 +758,9 @@ let e15 () =
       cores;
 
   (* C. mixed read/write gating: 2 sessions, 40 queries, every 5th an
-     update. Writers must serialize (peak exclusive = 1) and every
-     insert must land, regardless of interleaving. *)
+     update of the same document. Writers to one region serialize
+     (writer peak 1) and every insert must land, regardless of
+     interleaving. *)
   let svc = Svc.create ~domains:4 () in
   let s1 = Svc.open_session svc in
   let s2 = Svc.open_session svc in
@@ -767,16 +777,14 @@ let e15 () =
   in
   let futs = List.map (fun (sid, q) -> Svc.submit svc sid q) mix in
   List.iter (fun f -> ignore (expect_ok (Sched.await_exn f))) futs;
-  let queries, par, excl, errs =
-    Xqb_service.Metrics.counts (Svc.metrics svc)
-  in
-  let peak_par, peak_excl = Xqb_service.Metrics.max_inflight (Svc.metrics svc) in
+  let queries, errs = Xqb_service.Metrics.counts (Svc.metrics svc) in
+  let peak, writer_peak = gate_peaks svc in
   let hits = expect_ok (Svc.query svc s1 {|count(doc("log")/log/hit)|}) in
   Svc.shutdown svc;
   Printf.printf
-    "mixed workload: %d queries = %d parallel + %d exclusive (%d errors)\n\
-     peak in-flight: %d readers / %d writer(s); all 8 inserts applied: %s hits\n"
-    queries par excl errs peak_par peak_excl hits
+    "mixed workload: %d queries (%d errors)\n\
+     gate peak: %d jobs admitted / %d holding writes; all 8 inserts applied: %s hits\n"
+    queries errs peak writer_peak hits
 
 (* ------------------------------------------------------------------ *)
 (* E16 — resource governance: tail latency of well-behaved queries    *)
@@ -1366,7 +1374,7 @@ let e20 () =
 
 (* ------------------------------------------------------------------ *)
 (* E21 — footprint scheduling: concurrent writers over disjoint       *)
-(* documents vs the single-writer purity gate, same durable store.    *)
+(* documents vs the same workload on one domain, same durable store.  *)
 (* ------------------------------------------------------------------ *)
 
 let e21 () =
@@ -1412,13 +1420,14 @@ let e21 () =
      one update and one read per round, synchronously — so per-document
      apply order (and therefore the final state) is identical whichever
      way the scheduler interleaves clients. *)
-  let run_mode footprints =
+  (* The reference runs the same workload at [domains:1]: one job at
+     a time, so nothing overlaps — neither evaluation nor the
+     group-commit fsync waits. *)
+  let run_mode domains =
+    let mode = if domains = 1 then "one domain" else "footprint" in
     let dir = fresh_dir () in
     let cfg = { (Durable.default_config ~dir) with Durable.fsync = Wal.Always } in
-    let svc =
-      Svc.create ~domains:clients ~durability:cfg
-        ~footprint_scheduling:footprints ()
-    in
+    let svc = Svc.create ~domains ~durability:cfg () in
     let sessions =
       Array.init clients (fun k ->
           let s = Svc.open_session svc in
@@ -1445,9 +1454,7 @@ let e21 () =
     let wall_s = Unix.gettimeofday () -. t0 in
     (match !fail with
     | Some e ->
-      Printf.printf "E21 FAIL (%s): query rejected: %s\n"
-        (if footprints then "footprint" else "baseline")
-        e;
+      Printf.printf "E21 FAIL (%s): query rejected: %s\n" mode e;
       exit_code := 1
     | None -> ());
     let docs =
@@ -1466,8 +1473,7 @@ let e21 () =
     Svc.shutdown svc';
     rm_rf dir;
     if recovered <> digest then begin
-      Printf.printf "E21 FAIL (%s): recovered digest diverged\n"
-        (if footprints then "footprint" else "baseline");
+      Printf.printf "E21 FAIL (%s): recovered digest diverged\n" mode;
       exit_code := 1
     end;
     let jobs = clients * rounds * 5 in
@@ -1480,8 +1486,8 @@ let e21 () =
     let ts = List.sort compare (List.map (fun (t, _, _) -> t) runs) in
     List.nth ts 1
   in
-  let base_runs = List.init 3 (fun _ -> run_mode false) in
-  let fp_runs = List.init 3 (fun _ -> run_mode true) in
+  let base_runs = List.init 3 (fun _ -> run_mode 1) in
+  let fp_runs = List.init 3 (fun _ -> run_mode clients) in
   let base_tput = median3 base_runs in
   let fp_tput = median3 fp_runs in
   let _, base_docs, _ = List.hd base_runs in
@@ -1496,22 +1502,22 @@ let e21 () =
   let ratio = fp_tput /. base_tput in
   if base_docs <> fp_docs then begin
     print_endline
-      "E21 FAIL: footprint-scheduled store diverged from the single-writer store";
+      "E21 FAIL: footprint-scheduled store diverged from the one-domain store";
     exit_code := 1
   end;
   if ratio < 1.0 then begin
     Printf.printf
-      "E21 FAIL: footprint scheduling slower than the single-writer gate (%.2fx)\n"
+      "E21 FAIL: footprint scheduling slower than one domain (%.2fx)\n"
       ratio;
     exit_code := 1
   end;
-  record ~name:"e21-tput-single-writer" ~n:(clients * rounds * 5)
+  record ~name:"e21-tput-one-domain" ~n:(clients * rounds * 5)
     (base_tput *. 1e3);
   record ~name:"e21-tput-footprint" ~n:(clients * rounds * 5) (fp_tput *. 1e3);
   record ~name:"e21-speedup-x1000" ~n:1 (ratio *. 1e3);
   print_table
     [ "mode"; "jobs/s"; "speedup"; "digests" ]
-    [ [ "single-writer gate"; f1 base_tput; "1.0x"; "converged" ];
+    [ [ "one domain"; f1 base_tput; "1.0x"; "converged" ];
       [ "footprint scheduler"; f1 fp_tput; f2 ratio ^ "x";
         (if base_docs = fp_docs then "converged" else "DIVERGED") ] ];
   Printf.printf

@@ -390,7 +390,7 @@ let repl_cmd =
     Term.(ret (const repl $ docs_arg $ vars_arg $ mode_arg $ seed_arg $ trace_arg))
 
 (* The query service (docs/SERVICE.md): sessions over a shared
-   document catalog, a prepared-plan cache and the purity-gated
+   document catalog, a prepared-plan cache and the footprint-gated
    parallel scheduler, speaking the newline-delimited protocol of
    [Xqb_service.Protocol] on stdin or a TCP socket. *)
 let serve_cmd =

@@ -24,7 +24,10 @@ let plan_of ?(mode = C.Snap_ordered) engine source =
   let compiled = Engine.compile engine source in
   let ctx = Engine.context engine in
   Core.Context.span ~cat:"compile" ctx "algebra.compile" @@ fun () ->
-  let purity = Core.Static.purity_oracle compiled.Engine.prog in
+  let purity =
+    Core.Static.purity_oracle ~extern:(Engine.declared engine)
+      compiled.Engine.prog
+  in
   let body =
     match compiled.Engine.prog.Core.Normalize.body with
     | Some b -> C.Snap (mode, b)
@@ -51,7 +54,7 @@ let run_with ?(mode = C.Snap_ordered) ~profile engine source : run_result =
     stats;
     profile = prof;
     ddo_elided = ctx.Core.Context.ddo_elided - elided_before;
-    footprint = Core.Static.Footprint.of_prog compiled.Engine.prog;
+    footprint = Engine.footprint ~within:engine compiled;
   }
 
 let run ?mode engine source = run_with ?mode ~profile:false engine source
@@ -82,5 +85,4 @@ let explain ?mode engine source =
   let compiled, cres = plan_of ?mode engine source in
   Printf.sprintf "%s\n-- footprint: %s"
     (Plan.explain cres.Compile.plan)
-    (Core.Static.Footprint.to_string
-       (Core.Static.Footprint.of_prog compiled.Engine.prog))
+    (Core.Static.Footprint.to_string (Engine.footprint ~within:engine compiled))

@@ -53,19 +53,22 @@ let apply_permuted store rand_state (delta : Update.delta) =
    span (it is the one application phase whose cost scales with |∆|²
    worst-case conflict classes, so it is worth seeing separately). *)
 let apply ?rand_state ?tracer store mode (delta : Update.delta) =
-  let rand_state =
-    match rand_state with Some r -> r | None -> Random.State.make [| 0x5eed |]
-  in
-  Xqb_store.Store.transactionally store (fun () ->
-      match mode with
-      | Ordered -> apply_ordered store delta
-      | Nondeterministic -> apply_permuted store rand_state delta
-      | Conflict_detection ->
-        (match tracer with
-        | Some tr when Xqb_obs.Trace.enabled tr ->
-          Xqb_obs.Trace.with_span ~cat:"snap"
-            ~args:[ ("requests", string_of_int (List.length delta)) ]
-            tr "conflict.check"
-            (fun () -> Conflict.check ~store delta)
-        | _ -> Conflict.check ~store delta);
-        apply_permuted store rand_state delta)
+  (* nothing to apply: no transaction, so no journal markers *)
+  if delta = [] then ()
+  else
+    let rand_state =
+      match rand_state with Some r -> r | None -> Random.State.make [| 0x5eed |]
+    in
+    Xqb_store.Store.transactionally store (fun () ->
+        match mode with
+        | Ordered -> apply_ordered store delta
+        | Nondeterministic -> apply_permuted store rand_state delta
+        | Conflict_detection ->
+          (match tracer with
+          | Some tr when Xqb_obs.Trace.enabled tr ->
+            Xqb_obs.Trace.with_span ~cat:"snap"
+              ~args:[ ("requests", string_of_int (List.length delta)) ]
+              tr "conflict.check"
+              (fun () -> Conflict.check ~store delta)
+          | _ -> Conflict.check ~store delta);
+          apply_permuted store rand_state delta)

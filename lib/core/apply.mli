@@ -19,7 +19,9 @@ val mode_of_snap : Core_ast.snap_mode -> mode
 
 val mode_to_string : mode -> string
 
-(** @raise Conflict.Conflict or @raise Xqb_store.Store.Update_error;
+(** An empty ∆ returns at once, without opening a transaction (so it
+    leaves nothing in the mutation journal).
+    @raise Conflict.Conflict or @raise Xqb_store.Store.Update_error;
     the store is rolled back in both cases. [tracer] records the
     conflict-detection check as its own span. *)
 val apply :

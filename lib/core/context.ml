@@ -10,6 +10,12 @@
 
 module SMap = Map.Make (String)
 
+module FMap = Map.Make (struct
+  type t = string * int  (* qname string, arity *)
+
+  let compare = compare
+end)
+
 type focus = { item : Xqb_xdm.Item.t; position : int; size : int }
 
 type env = Xqb_xdm.Value.t SMap.t
@@ -18,12 +24,18 @@ type func = {
   params : (string * Xqb_syntax.Ast.seq_type option) list;
   return_type : Xqb_syntax.Ast.seq_type option;
   body : Core_ast.expr;
-  updating : bool;  (* inferred by [Static]; see §5 *)
+  purity : Static.purity;
+  allocates : bool;
+    (* §5's flag, recorded when the function is declared: what a
+       later query's judgements take for a call to it *)
 }
 
 type t = {
   store : Xqb_store.Store.t;
-  functions : (string * int, func) Hashtbl.t;  (* qname string, arity *)
+  mutable functions : func FMap.t;
+    (* a persistent map, replaced whole on each declaration: a query
+       compiled while another of the session runs reads a consistent
+       snapshot, and the running query never sees a torn table *)
   snaps : Snap_stack.t;
   rand : Random.State.t;
   docs : (string, Xqb_store.Store.node_id) Hashtbl.t;
@@ -42,7 +54,7 @@ type t = {
        service's footprint scheduler points it at a global apply
        mutex + WAL group commit so footprint-disjoint writers can
        *evaluate* concurrently while ∆ application stays serial.
-       None = apply inline (CLI, exclusive jobs). *)
+       None = apply inline (CLI, Effecting jobs). *)
   mutable steps_evaluated : int;  (* instrumentation for the benches *)
   mutable ddo_elided : int;
     (* instrumentation: statically elided ddo sorts actually reached
@@ -69,7 +81,7 @@ let create ?(seed = 0x5eed) ?store () =
   let store = match store with Some s -> s | None -> Xqb_store.Store.create () in
   {
     store;
-    functions = Hashtbl.create 16;
+    functions = FMap.empty;
     snaps = Snap_stack.create ();
     rand = Random.State.make [| seed |];
     docs = Hashtbl.create 4;
@@ -86,39 +98,12 @@ let create ?(seed = 0x5eed) ?store () =
     apply_ns = 0;
   }
 
-(* A read-only fork for concurrent evaluation (the service layer's
-   purity-gated scheduler): shares the store, but snapshots every
-   other piece of mutable state so evaluation in the fork can never
-   race with the parent session. The function and document tables are
-   copied (cheap — they are small), the snap stack and RNG are fresh,
-   and the doc resolver is dropped: a fork may *look up* already
-   registered documents but must never load new XML into the shared
-   store. *)
-let fork_read ctx =
-  {
-    store = ctx.store;
-    functions = Hashtbl.copy ctx.functions;
-    snaps = Snap_stack.create ();
-    rand = Random.State.make [| 0x5eed |];
-    docs = Hashtbl.copy ctx.docs;
-    doc_lookup = ctx.doc_lookup;  (* lookup-only: safe in a fork *)
-    doc_resolver = None;
-    globals = ctx.globals;
-    on_apply = None;
-    apply_wrap = None;
-    steps_evaluated = 0;
-    ddo_elided = 0;
-    budget = ctx.budget;  (* a governed session's forks inherit its budget *)
-    tracer = ctx.tracer;  (* spans from the fork land in the same trace *)
-    delta_stats = Update.stats_create ();  (* forks are read-only anyway *)
-    apply_ns = 0;
-  }
-
 let declare_function ctx name arity (f : func) =
-  Hashtbl.replace ctx.functions (Xqb_xml.Qname.to_string name, arity) f
+  ctx.functions <-
+    FMap.add (Xqb_xml.Qname.to_string name, arity) f ctx.functions
 
 let find_function ctx name arity =
-  Hashtbl.find_opt ctx.functions (Xqb_xml.Qname.to_string name, arity)
+  FMap.find_opt (Xqb_xml.Qname.to_string name, arity) ctx.functions
 
 let register_doc ctx uri node = Hashtbl.replace ctx.docs uri node
 

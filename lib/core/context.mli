@@ -8,22 +8,30 @@
 
 module SMap : Map.S with type key = string
 
+(** Declared functions, keyed on (qname string, arity). *)
+module FMap : Map.S with type key = string * int
+
 type focus = { item : Xqb_xdm.Item.t; position : int; size : int }
 
 type env = Xqb_xdm.Value.t SMap.t
 
-(** A user-declared function. [updating] is the §5 flag inferred by
-    {!Static.classify_functions}. *)
+(** A user-declared function. [purity] and [allocates] are the §5
+    classification ({!Static.classify_functions},
+    {!Static.classify_alloc_functions}) recorded at declaration: a
+    later query that calls the function is judged with them. *)
 type func = {
   params : (string * Xqb_syntax.Ast.seq_type option) list;
   return_type : Xqb_syntax.Ast.seq_type option;
   body : Core_ast.expr;
-  updating : bool;
+  purity : Static.purity;
+  allocates : bool;
 }
 
 type t = {
   store : Xqb_store.Store.t;
-  functions : (string * int, func) Hashtbl.t;
+  mutable functions : func FMap.t;
+      (** replaced whole on each declaration, so a reader holds a
+          consistent snapshot while a declaration is installed *)
   snaps : Snap_stack.t;
   rand : Random.State.t;
   docs : (string, Xqb_store.Store.node_id) Hashtbl.t;
@@ -41,8 +49,7 @@ type t = {
           inside this wrapper. The service's footprint scheduler
           points it at the global apply mutex (plus WAL group commit)
           so footprint-disjoint writers evaluate concurrently while ∆
-          application stays serial. [None] = apply inline. Cleared by
-          {!fork_read}. *)
+          application stays serial. [None] = apply inline. *)
   mutable steps_evaluated : int;  (** instrumentation *)
   mutable ddo_elided : int;
       (** instrumentation: statically elided ddo sorts reached at
@@ -51,16 +58,14 @@ type t = {
       (** resource budget charged at evaluation checkpoints; [None] =
           ungoverned. Install via {!Engine.with_budget}, which also
           mirrors it into the domain-local slot the store layer
-          reads. Copied by {!fork_read}. *)
+          reads. *)
   mutable tracer : Xqb_obs.Trace.t option;
       (** per-query span tracer; [None] = off (one option match per
-          instrumentation point). Install via {!Engine.with_tracer}.
-          Copied by {!fork_read} so fork spans land in the same
-          trace. *)
+          instrumentation point). Install via {!Engine.with_tracer}. *)
   delta_stats : Update.stats;
       (** ∆ introspection counters (applied snaps, requests by kind,
           snap-depth histogram, conflict checks) — behind the DELTA
-          wire command and [--show-delta]. Fresh in {!fork_read}. *)
+          wire command and [--show-delta]. *)
   mutable apply_ns : int;
       (** cumulative wall time spent applying ∆s (every snap's apply
           phase), feeding the service's slow-effect log *)
@@ -69,14 +74,6 @@ type t = {
 (** Fresh context; [seed] drives the nondeterministic application
     order. *)
 val create : ?seed:int -> ?store:Xqb_store.Store.t -> unit -> t
-
-(** A read-only fork for concurrent evaluation: shares the store but
-    snapshots all other mutable state (function/document tables are
-    copied, snap stack and RNG are fresh, [doc_resolver] is dropped so
-    a fork can never load new XML into the shared store). Evaluating
-    a {!Static.prog_parallel_safe} program in a fork touches no state
-    another fork can observe. *)
-val fork_read : t -> t
 
 val declare_function : t -> Xqb_xml.Qname.t -> int -> func -> unit
 val find_function : t -> Xqb_xml.Qname.t -> int -> func option

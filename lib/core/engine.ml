@@ -21,10 +21,6 @@ let create ?seed ?store () =
 let context t = t.ctx
 let store t = t.ctx.Context.store
 
-(* Engine-level wrapper over {!Context.fork_read}: a read-only fork
-   sharing the store but isolated from all session mutations. *)
-let fork_read t = { ctx = Context.fork_read t.ctx }
-
 (* Load an XML document into the store, register it for fn:doc under
    [uri], and return its document node. *)
 let load_document t ~uri xml =
@@ -47,6 +43,9 @@ type compiled = {
   source : string;
   rewrites : (string * int) list;  (* simplifier rules fired (§4.2) *)
   type_warnings : string list;  (* static-typing warnings (advisory) *)
+  calls_out : bool;
+    (* calls a function declared by an earlier query: the purity,
+       allocation and footprint judgements depend on the session *)
 }
 
 let parse_error_message = function
@@ -64,54 +63,68 @@ let merge_counts a b =
       | None -> (rule, n) :: acc)
     a b
 
-(* Install a compiled program's function declarations into the engine.
-   [compile] does this automatically; the service layer's plan cache
-   calls it on cache hits, where the parse/normalize/rewrite phases
-   are skipped but a fresh session still needs the declarations. *)
+(* The §5 classification the engine recorded for each function it
+   has declared — what a program calling one of them is judged with. *)
+let declared t : Static.extern =
+ fun name arity ->
+  Option.map
+    (fun (f : Context.func) -> (f.Context.purity, f.Context.allocates))
+    (Context.find_function t.ctx name arity)
+
+(* Install a compiled program's function declarations into the engine,
+   each with its classification: the program's own fixpoint, with
+   calls to functions declared earlier judged by what was recorded
+   for them. [compile] does this automatically; the service layer's
+   plan cache calls it on cache hits, where the parse/normalize/
+   rewrite phases are skipped but a fresh session still needs the
+   declarations. *)
 let install_functions t (c : compiled) =
-  let prog = c.prog in
-  let purities = Static.classify_functions prog.Normalize.functions in
-  List.iter
-    (fun (f : Normalize.func) ->
-      let arity = List.length f.Normalize.params in
-      let updating =
-        match
-          List.find_opt
-            (fun (g, m, _) -> Qname.equal f.Normalize.fname g && m = arity)
-            purities
-        with
-        | Some (_, _, Static.Pure) -> false
-        | Some _ -> true
-        | None -> false
-      in
-      Context.declare_function t.ctx f.Normalize.fname arity
+  let funcs = c.prog.Normalize.functions in
+  let extern = declared t in
+  (* both classifications list [funcs] in order *)
+  List.iter2
+    (fun (f : Normalize.func) ((_, _, purity), (_, _, allocates)) ->
+      Context.declare_function t.ctx f.Normalize.fname
+        (List.length f.Normalize.params)
         {
           Context.params = f.Normalize.params;
           return_type = f.Normalize.return_type;
           body = f.Normalize.body;
-          updating;
+          purity;
+          allocates;
         })
-    prog.Normalize.functions
+    funcs
+    (List.combine
+       (Static.classify_functions ~extern funcs)
+       (Static.classify_alloc_functions ~extern funcs))
 
 (* Parse, normalize, statically check and simplify a program (§4.2's
    "phase of syntactic rewriting", with purity guards). Function
    declarations are installed into the engine so later [compile]d
-   queries can call them too. *)
-let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
+   queries can call them too. [tracer] receives the compile spans in
+   place of the context's own tracer: compiling touches no other
+   mutable state of the context, so a session can compile its next
+   query while the context runs the previous one. *)
+let compile ?(simplify = true) ?(elide_ddo = true) ?tracer t source : compiled =
+  let sctx =
+    match tracer with
+    | None -> t.ctx
+    | Some tracer -> { t.ctx with Context.tracer; budget = None }
+  in
   Xqb_obs.Profile.with_phase "compile" @@ fun () ->
-  Context.span ~cat:"compile" t.ctx "compile" @@ fun () ->
+  Context.span ~cat:"compile" sctx "compile" @@ fun () ->
   let extra_fns =
-    Hashtbl.fold
+    Context.FMap.fold
       (fun (name, arity) _ acc -> (Qname.of_string name, arity) :: acc)
       t.ctx.Context.functions []
   in
   let prog =
     try
       let ast =
-        Context.span ~cat:"compile" t.ctx "parse" (fun () ->
+        Context.span ~cat:"compile" sctx "parse" (fun () ->
             Xqb_syntax.Parser.parse_prog source)
       in
-      Context.span ~cat:"compile" t.ctx "normalize" (fun () ->
+      Context.span ~cat:"compile" sctx "normalize" (fun () ->
           Normalize.normalize_prog ~extra_fns ~is_builtin:Functions.is_builtin ast)
     with
     | (Xqb_syntax.Parser.Error _ | Xqb_syntax.Lexer.Error _ | Normalize.Static_error _)
@@ -122,7 +135,7 @@ let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
     Context.SMap.fold (fun k _ acc -> k :: acc) t.ctx.Context.globals []
   in
   (try
-     Context.span ~cat:"compile" t.ctx "static.check" (fun () ->
+     Context.span ~cat:"compile" sctx "static.check" (fun () ->
          Static.check_prog ~initial:host_bound prog)
    with Normalize.Static_error m -> raise (Compile_error ("static error: " ^ m)));
   (* §4.2 syntactic rewriting, guarded by the purity judgement. *)
@@ -130,8 +143,8 @@ let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
   let prog =
     if not simplify then prog
     else
-      Context.span ~cat:"compile" t.ctx "simplify" @@ fun () ->
-      let purity = Static.purity_oracle prog in
+      Context.span ~cat:"compile" sctx "simplify" @@ fun () ->
+      let purity = Static.purity_oracle ~extern:Static.opaque_extern prog in
       let simp e =
         let e', stats = Rewrite.simplify ~purity e in
         rewrites := merge_counts !rewrites stats;
@@ -153,8 +166,8 @@ let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
   let prog =
     if not elide_ddo then prog
     else
-      Context.span ~cat:"compile" t.ctx "ddo-elide" @@ fun () ->
-      let purity = Static.purity_oracle prog in
+      Context.span ~cat:"compile" sctx "ddo-elide" @@ fun () ->
+      let purity = Static.purity_oracle ~extern:Static.opaque_extern prog in
       let elided = ref 0 in
       let el e =
         let e', n = Static.elide_ddo ~purity e in
@@ -177,9 +190,17 @@ let compile ?(simplify = true) ?(elide_ddo = true) t source : compiled =
       prog
   in
   let type_warnings =
-    Context.span ~cat:"compile" t.ctx "typing" (fun () -> Typing.check_prog prog)
+    Context.span ~cat:"compile" sctx "typing" (fun () -> Typing.check_prog prog)
   in
-  let c = { prog; source; rewrites = !rewrites; type_warnings } in
+  let c =
+    {
+      prog;
+      source;
+      rewrites = !rewrites;
+      type_warnings;
+      calls_out = Static.calls_out prog;
+    }
+  in
   install_functions t c;
   c
 
@@ -217,8 +238,7 @@ let run ?mode t source : Value.t =
 
 (* Serialize a value the way the CLI prints results: nodes as XML,
    atomics space-separated. [serialize_with] takes an explicit store
-   handle — the service layer serializes results while still holding
-   the scheduler's read lock, possibly from a forked context. *)
+   handle. *)
 let serialize_with store (v : Value.t) : string =
   let buf = Buffer.create 256 in
   let last_was_atomic = ref false in
@@ -238,7 +258,7 @@ let serialize_with store (v : Value.t) : string =
 let serialize t (v : Value.t) : string = serialize_with (store t) v
 
 (* Run [f] with [budget] governing the engine: installed both on the
-   context (evaluator checkpoints; inherited by read forks) and in
+   context (evaluator checkpoints) and in
    the domain-local slot the store's axis iterators consult. Restored
    on exit, exceptional or not — a scheduler worker domain outlives
    many governed jobs, so leaking either installation would charge a
@@ -251,14 +271,19 @@ let with_budget t budget f =
     ~finally:(fun () -> ctx.Context.budget <- saved)
     (fun () -> Xqb_governor.Budget.with_current budget f)
 
-(* Run [f] with [tracer] installed on the engine's context (inherited
-   by read forks via [Context.fork_read]). Restored on exit for the
-   same reason as [with_budget]: worker domains outlive jobs. *)
+(* Run [f] with [tracer] installed on the engine's context. Restored
+   on exit for the same reason as [with_budget]: worker domains
+   outlive jobs. *)
 let with_tracer t tracer f =
   let ctx = t.ctx in
   let saved = ctx.Context.tracer in
   ctx.Context.tracer <- tracer;
   Fun.protect ~finally:(fun () -> ctx.Context.tracer <- saved) f
+
+(* The judgements below take the program's calls to functions it
+   does not declare at the classification [within] recorded for them
+   (none: such calls pass for Pure). *)
+let extern_of within = Option.map declared within
 
 (* Purity of a compiled body (E7's instrumentation). *)
 let body_purity (c : compiled) =
@@ -266,9 +291,14 @@ let body_purity (c : compiled) =
   | None -> Static.Pure
   | Some body -> Static.purity_in_prog c.prog body
 
-(* May this compiled program run concurrently with other such programs
-   against the shared store? See {!Static.prog_parallel_safe}. *)
-let parallel_safe (c : compiled) = Static.prog_parallel_safe c.prog
+(* Purity of the whole program: globals and body. *)
+let purity ?within (c : compiled) =
+  Static.prog_purity ?extern:(extern_of within) c.prog
+
+(* Can this program run without changing the store? See
+   {!Static.prog_parallel_safe}: the replica's write fence. *)
+let parallel_safe ?within (c : compiled) =
+  Static.prog_parallel_safe ?extern:(extern_of within) c.prog
 
 (* Static effects footprint of a compiled program — the (document,
    path-prefix) regions it may read or write. The service's footprint
@@ -276,36 +306,8 @@ let parallel_safe (c : compiled) = Static.prog_parallel_safe c.prog
    concurrently; [var_docs] lets the caller name host-bound variables
    that hold catalog document roots (the service binds each loaded
    document to [$uri]). *)
-let footprint ?var_docs (c : compiled) = Static.Footprint.of_prog ?var_docs c.prog
+let footprint ?var_docs ?within (c : compiled) =
+  Static.Footprint.of_prog ?var_docs ?extern:(extern_of within) c.prog
 
-(* Run a parallel-safe compiled program without touching any of the
-   session's mutable state: evaluation happens in a [Context.fork_read]
-   of the session context, and — because the program is Pure — the
-   implicit top-level snap is skipped entirely (it could only ever
-   apply an empty ∆, but pushing the frame and applying would mutate
-   the snap stack and the store's journal flags).
-
-   @raise Invalid_argument when the program is not parallel-safe. *)
-let run_readonly t (c : compiled) : Value.t =
-  if not (parallel_safe c) then
-    invalid_arg "Engine.run_readonly: program is not parallel-safe";
-  let ctx = Context.fork_read t.ctx in
-  Xqb_obs.Profile.with_phase "run" @@ fun () ->
-  Context.span ~cat:"exec" ctx "eval.readonly" @@ fun () ->
-  let env =
-    List.fold_left
-      (fun env (v, ty, e) ->
-        let value = Eval.eval ctx env None e in
-        (match ty with
-        | Some ty ->
-          if not (Types.matches ctx.Context.store ty value) then
-            raise
-              (Compile_error
-                 (Printf.sprintf "global $%s does not match its declared type" v))
-        | None -> ());
-        Context.bind env v value)
-      ctx.Context.globals c.prog.Normalize.global_vars
-  in
-  match c.prog.Normalize.body with
-  | None -> []
-  | Some body -> Eval.eval ctx env None body
+(* An alias of [run_compiled] (perfbench's traced replay calls it). *)
+let run_readonly t (c : compiled) : Value.t = run_compiled t c

@@ -49,59 +49,110 @@ let rec purity_with lookup (e : C.expr) : purity =
     join (lookup f (List.length args)) (sub args)
   | _ -> sub (C.sub_exprs e)
 
-(* Fixpoint classification of the declared functions. *)
-let classify_functions (funcs : Normalize.func list) :
-    (Qname.t * int * purity) list =
+(* The classification recorded for a function declared outside the
+   program being judged — by an earlier query of the same session:
+   its purity and whether it allocates. §5: "the signature of
+   functions coming from other modules should contain an updating
+   flag". [None] = not declared there either (assumed Pure and
+   allocation-free, like a builtin). *)
+type extern = Qname.t -> int -> (purity * bool) option
+
+let no_extern : extern = fun _ _ -> None
+
+(* Any outside function may do anything: the judgement for code that
+   must hold whatever the session declared (plans shared across
+   sessions by the plan cache). *)
+let opaque_extern : extern = fun _ _ -> Some (Effecting, true)
+
+let fkey (f : Normalize.func) =
+  (Qname.to_string f.Normalize.fname, List.length f.Normalize.params)
+
+(* Fixpoint over the call graph: every declared function starts at
+   [bottom] and is re-judged until nothing changes; calls to
+   functions the program does not declare consult [outside]. *)
+let fixpoint ~bottom ~outside judge (funcs : Normalize.func list) =
   let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Normalize.func) ->
-      Hashtbl.replace tbl
-        (Qname.to_string f.Normalize.fname, List.length f.Normalize.params)
-        Pure)
-    funcs;
+  List.iter (fun f -> Hashtbl.replace tbl (fkey f) bottom) funcs;
   let lookup f n =
     match Hashtbl.find_opt tbl (Qname.to_string f, n) with
-    | Some p -> p
-    | None -> Pure  (* unknown functions are assumed pure; builtins are *)
+    | Some v -> v
+    | None -> outside f n
   in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun (f : Normalize.func) ->
-        let key = (Qname.to_string f.Normalize.fname, List.length f.Normalize.params) in
-        let old = Hashtbl.find tbl key in
-        let nu = purity_with lookup f.Normalize.body in
-        if nu <> old then begin
-          Hashtbl.replace tbl key nu;
+        let nu = judge lookup f.Normalize.body in
+        if nu <> Hashtbl.find tbl (fkey f) then begin
+          Hashtbl.replace tbl (fkey f) nu;
           changed := true
         end)
       funcs
   done;
+  (tbl, lookup)
+
+let extern_purity extern f n =
+  match extern f n with Some (p, _) -> p | None -> Pure
+
+let extern_allocates extern f n =
+  match extern f n with Some (_, a) -> a | None -> false
+
+let listing tbl (funcs : Normalize.func list) =
   List.map
     (fun (f : Normalize.func) ->
-      let n = List.length f.Normalize.params in
       ( f.Normalize.fname,
-        n,
-        Hashtbl.find tbl (Qname.to_string f.Normalize.fname, n) ))
+        List.length f.Normalize.params,
+        Hashtbl.find tbl (fkey f) ))
     funcs
+
+(* Fixpoint classification of the declared functions. *)
+let classify_functions ?(extern = no_extern) (funcs : Normalize.func list) :
+    (Qname.t * int * purity) list =
+  let tbl, _ =
+    fixpoint ~bottom:Pure ~outside:(extern_purity extern) purity_with funcs
+  in
+  listing tbl funcs
 
 (* A reusable purity oracle for a program: the function-classification
    fixpoint runs once, not per query expression. *)
-let purity_oracle (prog : Normalize.prog) : C.expr -> purity =
-  let classified = classify_functions prog.Normalize.functions in
-  let tbl = Hashtbl.create (List.length classified * 2) in
-  List.iter
-    (fun (f, n, p) -> Hashtbl.replace tbl (Qname.to_string f, n) p)
-    classified;
-  let lookup f n =
-    Option.value ~default:Pure (Hashtbl.find_opt tbl (Qname.to_string f, n))
+let purity_oracle ?(extern = no_extern) (prog : Normalize.prog) :
+    C.expr -> purity =
+  let _, lookup =
+    fixpoint ~bottom:Pure ~outside:(extern_purity extern) purity_with
+      prog.Normalize.functions
   in
   fun e -> purity_with lookup e
 
 (* Purity of an expression in the context of a normalized program. *)
-let purity_in_prog (prog : Normalize.prog) (e : C.expr) : purity =
-  purity_oracle prog e
+let purity_in_prog ?extern (prog : Normalize.prog) (e : C.expr) : purity =
+  purity_oracle ?extern prog e
+
+(* Purity of the whole program: every global initializer and the
+   body. *)
+let prog_purity ?extern (prog : Normalize.prog) : purity =
+  let purity = purity_oracle ?extern prog in
+  List.fold_left
+    (fun acc (_, _, e) -> join acc (purity e))
+    (match prog.Normalize.body with None -> Pure | Some b -> purity b)
+    prog.Normalize.global_vars
+
+(* Does the program call a function it does not declare itself? Then
+   its judgements depend on the session that declared that function. *)
+let calls_out (prog : Normalize.prog) : bool =
+  let own = Hashtbl.create 8 in
+  List.iter (fun f -> Hashtbl.replace own (fkey f) ()) prog.Normalize.functions;
+  let rec go (e : C.expr) =
+    (match e with
+    | C.Call_user (f, args) ->
+      not (Hashtbl.mem own (Qname.to_string f, List.length args))
+    | _ -> false)
+    || List.exists go (C.sub_exprs e)
+  in
+  List.exists (fun (_, _, e) -> go e) prog.Normalize.global_vars
+  || List.exists (fun (f : Normalize.func) -> go f.Normalize.body)
+       prog.Normalize.functions
+  || match prog.Normalize.body with None -> false | Some b -> go b
 
 (* -- Node allocation --------------------------------------------------
 
@@ -113,7 +164,7 @@ let purity_in_prog (prog : Normalize.prog) (e : C.expr) : purity =
 
 (* Does the expression allocate store nodes, given a judgement for
    user functions? Builtins never allocate: fn:doc only loads via the
-   context's resolver, which {!Context.fork_read} drops. *)
+   context's resolver, which the service never installs. *)
 let rec allocates_with lookup (e : C.expr) : bool =
   let sub = List.exists (allocates_with lookup) in
   match e with
@@ -127,52 +178,23 @@ let rec allocates_with lookup (e : C.expr) : bool =
   | _ -> sub (C.sub_exprs e)
 
 (* Fixpoint: a function that calls an allocating function allocates. *)
-let classify_alloc_functions (funcs : Normalize.func list) :
-    (Qname.t * int * bool) list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Normalize.func) ->
-      Hashtbl.replace tbl
-        (Qname.to_string f.Normalize.fname, List.length f.Normalize.params)
-        false)
-    funcs;
-  let lookup f n =
-    Option.value ~default:false (Hashtbl.find_opt tbl (Qname.to_string f, n))
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (f : Normalize.func) ->
-        let key = (Qname.to_string f.Normalize.fname, List.length f.Normalize.params) in
-        let old = Hashtbl.find tbl key in
-        let nu = allocates_with lookup f.Normalize.body in
-        if nu <> old then begin
-          Hashtbl.replace tbl key nu;
-          changed := true
-        end)
+let classify_alloc_functions ?(extern = no_extern) (funcs : Normalize.func list)
+    : (Qname.t * int * bool) list =
+  let tbl, _ =
+    fixpoint ~bottom:false ~outside:(extern_allocates extern) allocates_with
       funcs
-  done;
-  List.map
-    (fun (f : Normalize.func) ->
-      let n = List.length f.Normalize.params in
-      ( f.Normalize.fname,
-        n,
-        Hashtbl.find tbl (Qname.to_string f.Normalize.fname, n) ))
-    funcs
+  in
+  listing tbl funcs
 
-(* Can the whole program run concurrently with other such programs
-   against a shared store? Required: every global initializer and the
-   body are [Pure] *and* allocation-free. This is the gate the
-   service scheduler's read side checks. *)
-let prog_parallel_safe (prog : Normalize.prog) : bool =
-  let purity = purity_oracle prog in
-  let alloc_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (f, n, a) -> Hashtbl.replace alloc_tbl (Qname.to_string f, n) a)
-    (classify_alloc_functions prog.Normalize.functions);
-  let alloc_lookup f n =
-    Option.value ~default:false (Hashtbl.find_opt alloc_tbl (Qname.to_string f, n))
+(* Can the program run without changing the store? Required: every
+   global initializer and the body are [Pure] *and* allocation-free.
+   This is the replica's write fence: a replica's store changes only
+   by the frames its leader ships. *)
+let prog_parallel_safe ?(extern = no_extern) (prog : Normalize.prog) : bool =
+  let purity = purity_oracle ~extern prog in
+  let _, alloc_lookup =
+    fixpoint ~bottom:false ~outside:(extern_allocates extern) allocates_with
+      prog.Normalize.functions
   in
   let safe e = purity e = Pure && not (allocates_with alloc_lookup e) in
   List.for_all (fun (_, _, e) -> safe e) prog.Normalize.global_vars
@@ -684,8 +706,8 @@ module Footprint = struct
      the host declare that a free variable is bound to the root of a
      named catalog document (the service binds each loaded document
      under its URI). *)
-  let of_prog ?(var_docs = fun _ -> None) (prog : Normalize.prog) : t =
-    let purity = purity_oracle prog in
+  let of_prog ?(var_docs = fun _ -> None) ?extern (prog : Normalize.prog) : t =
+    let purity = purity_oracle ?extern prog in
     let rd = ref [] and wr = ref [] in
     let add_rd rs = rd := rs @ !rd in
     let add_wr rs = wr := rs @ !wr in

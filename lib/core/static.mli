@@ -23,33 +23,55 @@ val join : purity -> purity -> purity
 (** Purity given a classification oracle for user functions. *)
 val purity_with : (Xqb_xml.Qname.t -> int -> purity) -> Core_ast.expr -> purity
 
+(** The classification recorded for a function declared outside the
+    program being judged (by an earlier query of the same session):
+    its purity and whether it allocates — §5's "updating flag" on
+    functions from other modules. [None]: not declared there either,
+    judged Pure and allocation-free. Every judgement below takes one
+    ([?extern]; without one, every outside function is [None]), so
+    a call to such a function carries its recorded effects instead
+    of passing for Pure. *)
+type extern = Xqb_xml.Qname.t -> int -> (purity * bool) option
+
+(** Judges every outside function Effecting and allocating — for
+    compile-time rewriting, whose result the plan cache shares across
+    sessions that may declare a called function differently. *)
+val opaque_extern : extern
+
 (** Fixpoint classification of a program's functions. *)
 val classify_functions :
-  Normalize.func list -> (Xqb_xml.Qname.t * int * purity) list
+  ?extern:extern -> Normalize.func list -> (Xqb_xml.Qname.t * int * purity) list
 
 (** A reusable purity oracle: the function-classification fixpoint
     runs once at construction, then each call is a plain traversal. *)
-val purity_oracle : Normalize.prog -> Core_ast.expr -> purity
+val purity_oracle : ?extern:extern -> Normalize.prog -> Core_ast.expr -> purity
 
 (** One-shot [purity_oracle] (reclassifies per call — prefer the
     oracle in loops). *)
-val purity_in_prog : Normalize.prog -> Core_ast.expr -> purity
+val purity_in_prog : ?extern:extern -> Normalize.prog -> Core_ast.expr -> purity
+
+(** Purity of the whole program: the join over every global
+    initializer and the body. *)
+val prog_purity : ?extern:extern -> Normalize.prog -> purity
+
+(** Does the program call a function it does not declare? Then its
+    judgements depend on the session that declared the callee. *)
+val calls_out : Normalize.prog -> bool
 
 (** Does the expression allocate fresh store nodes (constructors,
     [Copy], update payloads), given a judgement for user functions?
-    [Pure] expressions can still allocate — this is the extra check
-    concurrent execution against a shared store needs. *)
+    [Pure] expressions can still allocate. *)
 val allocates_with : (Xqb_xml.Qname.t -> int -> bool) -> Core_ast.expr -> bool
 
 (** Fixpoint allocation classification of a program's functions ("a
     function that calls an allocating function allocates"). *)
 val classify_alloc_functions :
-  Normalize.func list -> (Xqb_xml.Qname.t * int * bool) list
+  ?extern:extern -> Normalize.func list -> (Xqb_xml.Qname.t * int * bool) list
 
 (** [true] iff every global initializer and the body are [Pure] and
-    allocation-free — the gate for the service scheduler's parallel
-    read side. *)
-val prog_parallel_safe : Normalize.prog -> bool
+    allocation-free: the program cannot change the store. The
+    service's replica write fence. *)
+val prog_parallel_safe : ?extern:extern -> Normalize.prog -> bool
 
 module SSet : Set.S with type elt = string
 
@@ -142,7 +164,8 @@ module Footprint : sig
   (** Infer the footprint of a normalized program. [var_docs] maps a
       host-bound free variable to the URI of the catalog document
       whose root it names, if any (unknown bindings widen to
-      [any_region]). *)
+      [any_region]); [extern] classifies calls to functions the
+      program does not declare. *)
   val of_prog :
-    ?var_docs:(string -> string option) -> Normalize.prog -> t
+    ?var_docs:(string -> string option) -> ?extern:extern -> Normalize.prog -> t
 end

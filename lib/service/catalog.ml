@@ -8,9 +8,9 @@
    fresh load.
 
    Loading parses XML into the shared store, i.e. it *mutates* shared
-   state: the service performs loads under the scheduler's write
-   lock. The registry itself has its own small mutex so lookups from
-   read-side queries are safe. *)
+   state: the service performs loads under a ⊤ footprint. The
+   registry itself has its own small mutex so lookups from queries
+   running concurrently are safe. *)
 
 module Store = Xqb_store.Store
 

@@ -1,8 +1,7 @@
-(** Service observability: query counts by purity class and
-    scheduling side, latency percentiles (fixed-footprint log-bucketed
-    histograms, exact for the first 512 samples), per-phase latency
-    breakdowns, scheduler queue depth, applied-∆ accounting.
-    Thread-safe; dumped as JSON. *)
+(** Service observability: query counts by purity class, latency
+    percentiles (fixed-footprint log-bucketed histograms, exact for
+    the first 512 samples), per-phase latency breakdowns, scheduler
+    queue depth, applied-∆ accounting. Thread-safe; dumped as JSON. *)
 
 type t
 
@@ -22,7 +21,6 @@ val slo : t -> float * float
 val record_query :
   t ->
   purity:Core.Static.purity ->
-  parallel:bool ->
   ok:bool ->
   latency_ns:float ->
   unit
@@ -50,18 +48,9 @@ val record_phase_totals : t -> (string * int) list -> unit
 (** Wire into a session engine's [Context.on_apply]. *)
 val record_delta : t -> Core.Update.delta -> unit
 
-(** Bracket a job's execution (lock already held) to maintain the
-    in-flight gauges. *)
-val job_begin : t -> parallel:bool -> unit
-
-val job_end : t -> parallel:bool -> unit
-
-(** [(queries, parallel, exclusive, errors)]. *)
-val counts : t -> int * int * int * int
-
-(** Peak concurrent jobs [(read side, write side)]. The read-side
-    peak exceeding 1 is direct evidence Pure queries overlapped. *)
-val max_inflight : t -> int * int
+(** [(queries, errors)]. Concurrency figures live on the footprint
+    gate ({!Rwlock.peak}, the service's [concurrency_json]). *)
+val counts : t -> int * int
 
 val json_escape : string -> string
 

@@ -40,7 +40,7 @@ type request =
   | Cancel of int  (* job id, as reported asynchronously-submitted *)
   | Trace of int option  (* job id; None = most recent traced job *)
   | Stats
-  | Delta  (* last write-side job's ∆ statistics *)
+  | Delta  (* last updating job's ∆ statistics *)
   | Slowlog  (* the slow-effect log *)
   | Metrics_prom  (* Prometheus text exposition *)
   | Health  (* ok|degraded|critical + machine-readable reasons *)

@@ -10,7 +10,7 @@ type request =
   | Cancel of int  (** job id *)
   | Trace of int option  (** job id; [None] = most recent traced job *)
   | Stats
-  | Delta  (** last write-side job's ∆ statistics *)
+  | Delta  (** last updating job's ∆ statistics *)
   | Slowlog  (** the slow-effect log *)
   | Metrics_prom  (** Prometheus text exposition *)
   | Health  (** health status + machine-readable reasons *)

@@ -3,10 +3,11 @@
    static effects footprint (Static.Footprint) and runs concurrently
    with every other job it is provably independent of — read/read
    always, read/write and write/write when their document regions
-   don't overlap. The old purity gate falls out as the two extreme
-   footprints: [read_all] (a Pure query: reads everything, writes
-   nothing) and [top] (an opaque writer: conflicts with everyone),
-   which is exactly what {!with_read} / {!with_write} request.
+   don't overlap. A pure query is just a footprint with no writes.
+   The two extreme footprints, [read_all] (reads everything, writes
+   nothing) and [top] (conflicts with everyone), are what
+   {!with_read} / {!with_write} request for operations without a
+   plan (catalog loads, checkpoints, replica ingest).
 
    Admission is FIFO-ticketed: a job may start iff it is independent
    of every *running* job and of every *earlier-ticketed waiter*. The

@@ -2,10 +2,12 @@
     Jobs enter with a static effects footprint
     ({!Core.Static.Footprint}) and run concurrently with every job
     they are provably independent of; conflicting jobs are admitted in
-    submission order (no barging — the old writer preference,
-    generalized). The legacy binary readers-writer interface is the
-    pair of extreme footprints: {!with_read} = reads-everything, and
-    {!with_write} = conflicts-with-everything. *)
+    submission order (no barging — a stream of readers cannot starve
+    a writer). Every query passes this one gate: a pure read holds a
+    footprint with no writes, an updating job its inferred regions,
+    an Effecting one ⊤. {!with_read} (reads-everything) and
+    {!with_write} (conflicts-with-everything) are the two extreme
+    footprints, for service operations that have no plan. *)
 
 type t
 

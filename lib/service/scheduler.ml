@@ -1,19 +1,18 @@
 (* The footprint-gated scheduler: a fixed pool of OCaml 5 domains
    draining one job queue, with a FIFO footprint gate (Rwlock) as the
-   admission control. Every job carries a static effects footprint:
-   read-only jobs (statically Pure and allocation-free programs —
-   {!Core.Static.prog_parallel_safe}) enter with a read-everything
-   footprint and run concurrently; updating jobs enter with the
-   footprint inferred from their plan and run concurrently with
-   everything provably disjoint from it (other documents, other
-   subtrees); jobs the analysis can't pin down (and document loads,
-   EXPLAIN, maintenance) enter with ⊤ and serialize exactly like the
-   old exclusive writer. Within one query, evaluation order is
-   exactly the paper's: a job never migrates between domains.
+   admission control. Every job carries a static effects footprint
+   and runs concurrently with everything provably disjoint from it
+   (other documents, other subtrees): a pure read's footprint writes
+   nothing, so reads overlap each other and every writer whose
+   regions they miss; an updating job holds its inferred regions;
+   jobs the analysis can't pin down (and document loads, EXPLAIN,
+   maintenance) enter with ⊤ and run alone. Within one query,
+   evaluation order is exactly the paper's: a job never migrates
+   between domains.
 
    ∆ application, WAL appends and wal_seq advancement are *not*
-   covered by the gate — concurrent writers evaluate in parallel but
-   apply serially under {!with_apply}, the global apply mutex, which
+   covered by the gate — jobs evaluate in parallel but apply
+   serially under {!with_apply}, the global apply mutex, which
    keeps the mutation journal's transaction spans contiguous and the
    WAL byte order deterministic.
 
@@ -319,7 +318,7 @@ let with_write t f = Rwlock.with_write t.rw f
 let with_read t f = Rwlock.with_read t.rw f
 let with_footprint t fp f = Rwlock.with_footprint t.rw fp f
 
-(* The global apply mutex: concurrent writers evaluate in parallel
+(* The global apply mutex: concurrent jobs evaluate in parallel
    under the footprint gate but serialize their snap-apply (and the
    WAL append the service performs inside the same critical section)
    here. *)

@@ -1,11 +1,11 @@
 (** Footprint-gated scheduler: a fixed pool of OCaml 5 domains plus a
-    FIFO footprint gate ({!Rwlock}). Read-only jobs (statically
-    parallel-safe queries) share the gate freely; updating jobs run
-    concurrently with everything provably disjoint from their static
-    footprint; ⊤-footprint jobs (inconclusive analysis, document
-    loads) serialize like the old exclusive writer. ∆ application is
-    *not* covered by the gate — concurrent writers serialize their
-    apply phase on {!with_apply}. [domains = 0] executes synchronously
+    FIFO footprint gate ({!Rwlock}). Every job runs concurrently with
+    everything provably disjoint from its static footprint — a pure
+    read's footprint writes nothing, so reads share the gate freely;
+    ⊤-footprint jobs (Effecting programs, inconclusive analysis,
+    document loads) run alone. ∆ application is *not* covered by the
+    gate — concurrent jobs serialize their apply phase on
+    {!with_apply}. [domains = 0] executes synchronously
     in the caller (still gate-admitted) — the "scheduler off"
     baseline.
 
@@ -106,7 +106,7 @@ val with_read : t -> (unit -> 'a) -> 'a
 (** Gate admission with an explicit footprint, bypassing the queue. *)
 val with_footprint : t -> Core.Static.Footprint.t -> (unit -> 'a) -> 'a
 
-(** The global apply mutex: concurrent writers evaluate in parallel
+(** The global apply mutex: concurrent jobs evaluate in parallel
     but run their snap-apply + WAL append inside [with_apply]. *)
 val with_apply : t -> (unit -> 'a) -> 'a
 

@@ -11,13 +11,12 @@
    - execution goes through the footprint-gated {!Scheduler}: every
      plan carries a static effects footprint
      ({!Core.Static.Footprint}) and jobs with provably disjoint
-     footprints run concurrently — statically parallel-safe programs
-     ({!Core.Static.prog_parallel_safe} — Pure *and* allocation-free)
-     as before, but now also updating jobs over disjoint documents or
-     subtrees. Inconclusive footprints (dynamic [fn:doc] URIs, upward
-     axes, user functions) widen to ⊤ and serialize exactly like the
-     old exclusive writer, with the paper's §4.1 runtime conflict
-     check still validating every ∆ at apply time;
+     footprints run concurrently. A pure read is just a footprint
+     with no writes, so reads overlap each other and every writer
+     whose regions they miss. Inconclusive footprints (dynamic
+     [fn:doc] URIs, upward axes, calls to updating functions) widen
+     to ⊤ and serialize, with the paper's §4.1 runtime conflict check
+     still validating every ∆ at apply time;
    - every job runs under a {!Xqb_governor.Budget}: the service-wide
      deadline / fuel / pending-∆ limits if configured, plus a cancel
      token always, so [CANCEL] works even on an unlimited service.
@@ -29,38 +28,47 @@
 
    Concurrency protocol, in one place:
 
-   - session mutable state (globals, function table) is only touched
-     (a) at submit time under the session lock (compile / install /
-     fork) and (b) inside write-side jobs, which also take the
-     session lock and additionally exclude every reader via the
-     write lock;
-   - read-side jobs evaluate in a [Context.fork_read] taken at
-     submit time under the session lock, so they observe a coherent
-     snapshot of the session and share nothing mutable with it (the
-     fork carries the job's budget; [Engine.with_budget] installs it
-     on the worker domain for the store layer);
+   - there is one job path. Every query is compiled (or found in the
+     plan cache) at submit time under the session's prepare lock,
+     then runs on the session engine under the session lock, after
+     the gate admitted its footprint. One session's queries run one
+     at a time. Submitting never waits for the session's running
+     job: compiling reads only the function table and the globals,
+     both persistent maps replaced whole (a declaration takes effect
+     when its query is submitted, a global when it runs), and its
+     spans go to the new job's own tracer;
+   - the purity, allocation and footprint judgements take a call to a
+     function declared by an earlier query at the classification
+     recorded when it was declared (§5's updating flag), also on a
+     plan-cache hit — so a call to an updating function is never
+     judged Pure;
    - the store is only mutated at snap-apply time (evaluation never
-     touches it — §3.3, the basis of the whole scheme): concurrent
-     writers *evaluate* in parallel under the footprint gate, while
-     every ∆ application — and the WAL append recording it —
-     serializes on the scheduler's global apply mutex
-     ({!Scheduler.with_apply}, installed per-job as the context's
-     [apply_wrap]), keeping journal transaction spans contiguous and
-     WAL order equal to apply order. The [Always]-policy fsync wait
-     happens *outside* the mutex, so concurrent writers share one
-     group-commit fsync instead of queueing full syncs;
+     touches it — §3.3, the basis of the whole scheme): jobs
+     *evaluate* in parallel under the footprint gate, while every ∆
+     application — and the WAL append recording it — serializes on
+     the scheduler's global apply mutex ({!Scheduler.with_apply},
+     installed per job as the context's [apply_wrap]), keeping
+     journal transaction spans contiguous and WAL order equal to
+     apply order. An empty ∆ (every pure read's top-level snap)
+     applies nothing and takes neither the mutex nor a transaction.
+     The [Always]-policy fsync wait happens *outside* the mutex, so
+     concurrent writers share one group-commit fsync instead of
+     queueing full syncs;
    - Effecting programs (nested snap semantics), EXPLAIN, document
      loads and checkpoints take a ⊤ footprint — fully exclusive —
-     and keep the old path: whole-job [Store.transactionally] plus
-     an inline durable flush, so a query killed mid-update leaves
-     the store exactly as it found it even if nested snaps had
-     already applied. On the concurrent-writer path the rollback
-     unit shrinks to one top-level snap: the apply itself is
-     transactional (a failure during apply rolls back before the WAL
-     sees it), but a job that fails *after* its snap applied — e.g.
-     a budget kill during result serialization — reports an error
-     for an update that committed, the same guarantee class as a
-     connection dropped between commit and acknowledgment. *)
+     with whole-job [Store.transactionally] plus an inline durable
+     flush, so a query killed mid-update leaves the store exactly as
+     it found it even if nested snaps had already applied. For every
+     other job the rollback unit is one top-level snap: the apply
+     itself is transactional (a failure during apply rolls back
+     before the WAL sees it), but a job that fails *after* its snap
+     applied — e.g. a budget kill during result serialization —
+     reports an error for an update that committed, the same
+     guarantee class as a connection dropped between commit and
+     acknowledgment;
+   - on a replica, the write fence is {!Core.Static.prog_parallel_safe}
+     (Pure and allocation-free, with the same recorded classification
+     for called functions): anything else could change the store. *)
 
 module Engine = Core.Engine
 module Budget = Xqb_governor.Budget
@@ -75,8 +83,7 @@ module Prom = Xqb_obs.Prom
 
 type plan = {
   compiled : Engine.compiled;
-  purity : Core.Static.purity;  (* of the body, for metrics *)
-  parallel : bool;  (* Static.prog_parallel_safe: read-side eligible *)
+  purity : Core.Static.purity;  (* of the whole program *)
   footprint : FP.t;
     (* static effects footprint: what the scheduler gates on.
        Computed against the catalog's documents at first compile;
@@ -88,6 +95,13 @@ type session = {
   sid : int;
   engine : Engine.t;
   slock : Mutex.t;
+    (* held by the session's running job (and by document attach):
+       one query of a session runs at a time *)
+  plock : Mutex.t;
+    (* held while a submission is prepared (compile, declarations),
+       and by an EXPLAIN run, which compiles. Never held across any
+       other run, so submitting a query waits only for an EXPLAIN of
+       its session *)
   mutable docs_held : string list;
 }
 
@@ -136,10 +150,6 @@ type t = {
   deadline_ms : int option;
   fuel : int option;
   max_delta : int option;
-  (* footprint scheduling: when off (bench E21's baseline), every
-     non-parallel job takes a ⊤ footprint — the old single-writer
-     exclusive gate — and commits through the inline durable path *)
-  footprints : bool;
   (* in-flight job registry *)
   jobs : (int, inflight) Hashtbl.t;
   jmutex : Mutex.t;
@@ -173,9 +183,9 @@ type t = {
   peers : (string, peer) Hashtbl.t;
   pmutex : Mutex.t;
   (* effect observability: per-job ∆ statistics (wire DELTA) and the
-     slow-effect log — write-side jobs whose apply phase exceeded
-     [slow_ns] leave a ∆ summary + trace id in a bounded ring (wire
-     SLOWLOG). *)
+     slow-effect log — updating jobs (programs that are not Pure)
+     whose apply phase exceeded [slow_ns] leave a ∆ summary + trace
+     id in a bounded ring (wire SLOWLOG). *)
   slow_ns : int;
   sl_mutex : Mutex.t;
   mutable slowlog : slow_entry list;  (* newest first, bounded *)
@@ -613,8 +623,8 @@ let detect_unclean_shutdown ~dir (recovered : Durable.recovered option) =
 
 let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     ?fuel ?max_delta ?max_queue ?(tracing = false) ?(slow_apply_ms = 10)
-    ?durability ?(replica = false) ?replica_of ?(footprint_scheduling = true)
-    ?slo_p99_ms ?slo_err_pct ?(trace_ring = 32) ?(stall_ms = 1000)
+    ?durability ?(replica = false) ?replica_of ?slo_p99_ms ?slo_err_pct
+    ?(trace_ring = 32) ?(stall_ms = 1000)
     ?(fsync_warn_ms = 100) ?(lag_warn_frames = 256) ?(telemetry = true)
     ?events_cap ?profile_hz ?(gc_pause_warn_ms = 50) () =
   (match profile_hz with
@@ -691,7 +701,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
       deadline_ms;
       fuel;
       max_delta;
-      footprints = footprint_scheduling;
       jobs = Hashtbl.create 16;
       jmutex = Mutex.create ();
       next_jid = 1;
@@ -743,7 +752,6 @@ let create ?(domains = 4) ?(cache_capacity = 128) ?(seed = 0x5eed) ?deadline_ms
     [
       ("read_only", Events.B replica);
       ("domains", Events.I domains);
-      ("footprint_scheduling", Events.B footprint_scheduling);
       ("durable", Events.B (durable <> None));
     ];
   (match recovered with
@@ -833,9 +841,9 @@ let profile_command t (cmd : [ `Start | `Stop | `Dump | `Dump_json | `Stat ])
    policy, block until durable — this is the acknowledgment barrier:
    it runs after the snap applied but before the client sees OK, so
    recovery reproduces every acknowledged commit. Caller holds a ⊤
-   footprint (exclusive jobs, loads, checkpoints), which excludes
-   every concurrent apply — so [wal_seq] is stable. The concurrent-
-   writer path commits through [writer_apply_wrap] instead. *)
+   footprint (Effecting jobs, EXPLAIN, loads, checkpoints), which
+   excludes every concurrent apply — so [wal_seq] is stable. Every
+   other job commits through [writer_apply_wrap] instead. *)
 (* wal.commit events are emitted only after the durability barrier:
    the flight recorder's consistency check relies on every logged
    lsn being recoverable under fsync=always. At full load that is
@@ -1325,7 +1333,13 @@ let open_session t =
           (fun delta _mode ->
             if delta <> [] then Metrics.record_delta t.metrics delta);
       Hashtbl.replace t.sessions sid
-        { sid; engine; slock = Mutex.create (); docs_held = [] };
+        {
+          sid;
+          engine;
+          slock = Mutex.create ();
+          plock = Mutex.create ();
+          docs_held = [];
+        };
       sid)
 
 let find_session t sid =
@@ -1393,31 +1407,31 @@ let error_message e = (Service_error.classify e).Service_error.message
 (* Prepared plan for [src]: cache hit or full compile. On a hit the
    program's function declarations are still installed into the
    session (cheap), so cross-session hits behave like a local
-   compile. Caller holds the session lock. *)
-let prepare t s src =
+   compile. A program that calls functions it does not declare is
+   judged again on a hit: its purity and footprint follow what this
+   session declared for the callees. Compile spans go to the job's
+   own tracer [tr]. Caller holds the session's prepare lock. *)
+let prepare t s tr src =
   let key = Plan_cache.normalize_key src in
+  (* host-bound free variables that name catalog documents: the
+     service binds every loaded document to [$uri], so a variable
+     that is a catalog URI *is* that document's root. Anything else
+     widens to "any document" inside the analysis. *)
+  let var_docs v = if Catalog.find t.catalog v <> None then Some v else None in
+  let judge compiled =
+    {
+      compiled;
+      purity = Engine.purity ~within:s.engine compiled;
+      footprint = Engine.footprint ~var_docs ~within:s.engine compiled;
+    }
+  in
   match Plan_cache.find t.cache key with
   | Some plan ->
-    (match (Engine.context s.engine).Core.Context.tracer with
-    | Some tr -> Trace.instant tr "plan.cache.hit"
-    | None -> ());
+    Option.iter (fun tr -> Trace.instant tr "plan.cache.hit") tr;
     Engine.install_functions s.engine plan.compiled;
-    plan
+    if plan.compiled.Engine.calls_out then judge plan.compiled else plan
   | None ->
-    let compiled = Engine.compile s.engine src in
-    (* host-bound free variables that name catalog documents: the
-       service binds every loaded document to [$uri], so a variable
-       that is a catalog URI *is* that document's root. Anything else
-       widens to "any document" inside the analysis. *)
-    let var_docs v = if Catalog.find t.catalog v <> None then Some v else None in
-    let plan =
-      {
-        compiled;
-        purity = Engine.body_purity compiled;
-        parallel = Engine.parallel_safe compiled;
-        footprint = Engine.footprint ~var_docs compiled;
-      }
-    in
+    let plan = judge (Engine.compile ~tracer:tr s.engine src) in
     Plan_cache.add t.cache key plan;
     plan
 
@@ -1479,7 +1493,7 @@ let trace_json t jid =
 
 (* -- effect observability ------------------------------------------- *)
 
-(* Rendered ∆-statistics JSON for one write-side job: requests by
+(* Rendered ∆-statistics JSON for one updating job: requests by
    kind, snap-depth histogram, conflicts checked, apply-phase wall
    time. This is the wire DELTA payload. *)
 let delta_stats_json ~jid ~apply_ns (st : Core.Update.stats) =
@@ -1493,10 +1507,6 @@ let delta_stats_json ~jid ~apply_ns (st : Core.Update.stats) =
        (Array.to_list (Array.map string_of_int st.Core.Update.depth_hist)))
     apply_ns
 
-(* Called right after a write-side job finishes (session lock held):
-   snapshot the job's ∆ statistics for the wire DELTA command, and
-   ring-buffer a slow-effect entry when the apply phase crossed the
-   threshold. *)
 (* Per-job attribution bracket: GC pause delta (poll-lagged; short
    jobs read 0) and profiler samples by phase, captured around the
    job body for SLOWLOG and EXPLAIN ANALYZE. *)
@@ -1533,6 +1543,10 @@ let attribution_suffix t att =
       (Printf.sprintf "\n-- gc: pause_ms=%.2f" (float_of_int gc_ns /. 1e6));
   Buffer.contents buf
 
+(* Called right after an updating job finishes (session lock held):
+   snapshot the job's ∆ statistics for the wire DELTA command, and
+   ring-buffer a slow-effect entry when the apply phase crossed the
+   threshold. *)
 let note_effects t ~jid ~sid ~src ~trace ?(gc_ns = 0) ?(samples = []) ctx =
   let st = ctx.Core.Context.delta_stats in
   let apply_ns = ctx.Core.Context.apply_ns in
@@ -1569,7 +1583,7 @@ let note_effects t ~jid ~sid ~src ~trace ?(gc_ns = 0) ?(samples = []) ctx =
         ("snaps", Events.I snaps);
       ]
 
-(* Last write-side job's ∆ statistics; [None] before any updating
+(* Last updating job's ∆ statistics; [None] before any updating
    query ran. *)
 let delta_json t = locked t.sl_mutex (fun () -> t.last_delta)
 
@@ -1622,38 +1636,36 @@ let await fut =
 
 (* Submit a query; returns the job id (usable with [cancel]) and a
    future resolving to the serialized result or a structured error.
-   Parallel-safe programs run concurrently on the scheduler's read
-   side against a fork of the session taken now; everything else
-   serializes on the write side under [Store.transactionally], so a
-   query killed by its budget leaves the store unchanged. *)
+   There is one path: the plan is prepared now under the session's
+   prepare lock, and the job runs on the session engine, under the
+   session lock, once the gate admits its footprint. Effecting
+   programs hold ⊤ and run inside one [Store.transactionally], so a
+   query killed by its budget leaves the store unchanged; every other
+   program applies each top-level snap under [writer_apply_wrap]. *)
 let submit_job t sid src :
     int * (string, Service_error.t) result Scheduler.future =
   let s = find_session t sid in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   Metrics.record_queue_depth t.metrics (Scheduler.queue_depth t.sched);
-  (* One tracer per job. Installed on the session engine only while
-     the session lock is held (prepare + fork); a read-side fork
-     copies it, so spans recorded by the fork on a worker domain land
-     in this job's trace without the session ever sharing a tracer
-     between two jobs. *)
+  (* One tracer per job: it gets the compile spans here, and is
+     installed on the session engine, under the session lock, only
+     around the run. *)
   let tr = if t.tracing then Some (Trace.create ()) else None in
   match
-    locked s.slock (fun () ->
-        Engine.with_tracer s.engine tr (fun () ->
-            let plan = prepare t s src in
-            let fork =
-              if plan.parallel then Some (Engine.fork_read s.engine) else None
-            in
-            (plan, fork)))
+    locked s.plock (fun () ->
+        let plan = prepare t s tr src in
+        (* the replica's write fence: only programs that cannot change
+           the store, called functions included *)
+        ( plan,
+          t.read_only
+          && not (Engine.parallel_safe ~within:s.engine plan.compiled) ))
   with
   | exception e ->
     Metrics.record_compile_error t.metrics;
     let err = Service_error.classify e in
     Metrics.record_error t.metrics err.Service_error.kind;
     (0, Scheduler.ready (Error err))
-  | _plan, None when t.read_only ->
-    (* purity gate doubles as the replica's write fence: anything not
-       statically parallel-safe could mutate the store *)
+  | _, true ->
     let err =
       Service_error.classify
         (Failure
@@ -1661,7 +1673,7 @@ let submit_job t sid src :
     in
     Metrics.record_error t.metrics err.Service_error.kind;
     (0, Scheduler.ready (Error err))
-  | plan, fork ->
+  | plan, false ->
     (* one deadline scale, one boundary: the budget's polls, the
        scheduler queue check and the watchdog all use the same
        absolute monotonic Clock ns derived from --deadline-ms right
@@ -1679,12 +1691,12 @@ let submit_job t sid src :
     in
     let jid =
       register_job t sid ~deadline:deadline_ns
-        ~cancel:(Budget.cancel_token budget) ~started:t0 src
+        ~cancel:(Budget.cancel_token budget) ~started:(Unix.gettimeofday ())
+        src
     in
     let finish ok =
-      let latency_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-      Metrics.record_query t.metrics ~purity:plan.purity ~parallel:plan.parallel
-        ~ok ~latency_ns;
+      let latency_ns = float_of_int (Clock.now_ns () - t0) in
+      Metrics.record_query t.metrics ~purity:plan.purity ~ok ~latency_ns;
       match tr with
       | Some tr ->
         (* fold the job's span totals into the per-phase latency
@@ -1693,85 +1705,60 @@ let submit_job t sid src :
         push_trace t jid tr
       | None -> ()
     in
+    let effecting = plan.purity = Core.Static.Effecting in
     let job () =
       Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-      Metrics.job_begin t.metrics ~parallel:plan.parallel;
-      Fun.protect
-        ~finally:(fun () -> Metrics.job_end t.metrics ~parallel:plan.parallel)
-      @@ fun () ->
+      (* Two commit disciplines. Effecting jobs (nested snaps) hold ⊤:
+         whole-job [transactionally] (a budget kill rolls back even
+         mid-way through nested applies), then the inline durable
+         flush + checkpoint (on failure it still flushes the aborted
+         span, but its own errors must not mask the job's). Every
+         other job evaluates alongside the footprint-disjoint jobs
+         and commits each top-level snap through [writer_apply_wrap]
+         — the durable acknowledgment barrier sits inside the wrap,
+         before this future resolves. *)
+      let run ctx () =
+        Engine.with_tracer s.engine tr @@ fun () ->
+        Engine.with_budget s.engine (Some budget) @@ fun () ->
+        let eval () =
+          Engine.serialize s.engine (Engine.run_compiled s.engine plan.compiled)
+        in
+        if effecting then
+          Xqb_store.Store.transactionally (Catalog.store t.catalog) eval
+        else begin
+          ctx.Core.Context.apply_wrap <- Some (writer_apply_wrap t);
+          Fun.protect
+            ~finally:(fun () -> ctx.Core.Context.apply_wrap <- None)
+            eval
+        end
+      in
       match
-        match fork with
-        | Some feng ->
-          (* read side: forked context, snap-free evaluation.
-             [run_readonly] re-forks internally; the fork inherits
-             the session budget we install here. *)
-          Engine.with_budget feng (Some budget) (fun () ->
-              let v = Engine.run_readonly feng plan.compiled in
-              Engine.serialize_with (Catalog.store t.catalog) v)
-        | None -> (
-          (* write side: the session itself, full snap semantics.
-             The job's ∆ statistics and apply-phase wall time are
-             snapshotted for DELTA / the slow-effect log even when it
-             fails.
-
-             Two commit disciplines. Non-Effecting jobs (at most one
-             top-level apply per snap-wrapped global/body) take the
-             concurrent path: evaluation runs in parallel with every
-             footprint-disjoint job, and each snap's apply + WAL
-             append serializes under [writer_apply_wrap] — the
-             durable acknowledgment barrier moves inside the wrap,
-             before this future resolves. Effecting jobs (nested
-             snaps) hold a ⊤ footprint, so they keep the old
-             exclusive discipline: whole-job [transactionally] (a
-             budget kill rolls back even mid-way through nested
-             applies) and the inline durable flush + checkpoint after
-             (on failure it still flushes the aborted span, but its
-             own errors must not mask the job's). *)
-          let concurrent =
-            t.footprints && plan.purity <> Core.Static.Effecting
-          in
-          match
-            locked s.slock (fun () ->
+        match
+          locked s.slock (fun () ->
               let ctx = Engine.context s.engine in
-              Core.Update.stats_reset ctx.Core.Context.delta_stats;
-              ctx.Core.Context.apply_ns <- 0;
-              let att = attribution_begin () in
-              Fun.protect
-                ~finally:(fun () ->
-                  let gc_ns, samples = attribution_end att in
-                  note_effects t ~jid ~sid ~src
-                    ~trace:(Option.map Trace.id tr)
-                    ~gc_ns ~samples ctx)
-              @@ fun () ->
-              Engine.with_tracer s.engine tr (fun () ->
-                  Engine.with_budget s.engine (Some budget) (fun () ->
-                      if concurrent then begin
-                        ctx.Core.Context.apply_wrap <-
-                          Some (writer_apply_wrap t);
-                        Fun.protect
-                          ~finally:(fun () ->
-                            ctx.Core.Context.apply_wrap <- None)
-                          (fun () ->
-                            let v =
-                              Engine.run_compiled s.engine plan.compiled
-                            in
-                            Engine.serialize s.engine v)
-                      end
-                      else
-                        Xqb_store.Store.transactionally
-                          (Catalog.store t.catalog)
-                          (fun () ->
-                            let v =
-                              Engine.run_compiled s.engine plan.compiled
-                            in
-                            Engine.serialize s.engine v))))
-          with
-          | out ->
-            if not concurrent then durable_publish t;
-            out
-          | exception e ->
-            if not concurrent then (try durable_publish t with _ -> ());
-            raise e)
+              if plan.purity = Core.Static.Pure then run ctx ()
+              else begin
+                (* the job's ∆ statistics, apply-phase wall time and
+                   attribution, snapshotted for DELTA / the
+                   slow-effect log even when it fails *)
+                Core.Update.stats_reset ctx.Core.Context.delta_stats;
+                ctx.Core.Context.apply_ns <- 0;
+                let att = attribution_begin () in
+                Fun.protect
+                  ~finally:(fun () ->
+                    let gc_ns, samples = attribution_end att in
+                    note_effects t ~jid ~sid ~src
+                      ~trace:(Option.map Trace.id tr)
+                      ~gc_ns ~samples ctx)
+                  (run ctx)
+              end)
+        with
+        | out ->
+          if effecting then durable_publish t;
+          out
+        | exception e ->
+          if effecting then (try durable_publish t with _ -> ());
+          raise e
       with
       | out ->
         finish true;
@@ -1794,23 +1781,10 @@ let submit_job t sid src :
       finish false;
       Metrics.record_error t.metrics (Service_error.classify e).Service_error.kind
     in
-    (* Both sides gate on the *inferred* footprint when footprint
-       scheduling is on: a parallel-safe reader's footprint has no
-       write regions (read/read never conflicts, so readers behave
-       exactly as under the old read lock), but its read regions are
-       now precise enough to overlap with writers on *other*
-       documents. Effecting jobs and the baseline toggle degrade to
-       the binary extremes — read-everything / ⊤ — which is the old
-       purity gate verbatim. *)
-    let footprint =
-      if t.footprints && plan.purity <> Core.Static.Effecting then
-        plan.footprint
-      else if plan.parallel then FP.read_all
-      else FP.top
-    in
     (match
        Scheduler.submit t.sched ~deadline:deadline_ns ~on_abort ?trace:tr
-         ~footprint ~exclusive:(not plan.parallel) job
+         ~footprint:(if effecting then FP.top else plan.footprint)
+         ~exclusive:effecting job
      with
     | fut -> (jid, fut)
     | exception ((Scheduler.Overloaded | Scheduler.Shut_down) as e) ->
@@ -1832,7 +1806,7 @@ let query t sid src = await (submit t sid src)
 
 (* EXPLAIN ANALYZE (wire [EXPLAIN]): compile through the algebraic
    [Runner] and execute with per-operator profiling, returning the
-   annotated plan tree. Always on the write side — the query runs
+   annotated plan tree. Always under a ⊤ footprint — the query runs
    for real, side effects included, which is the only honest way to
    report actual cardinalities for a language with side effects —
    under the same governance (budget, registry, CANCEL) as a normal
@@ -1878,11 +1852,11 @@ let explain_job t sid src :
   in
   let job () =
     Fun.protect ~finally:(fun () -> unregister_job t jid) @@ fun () ->
-    Metrics.job_begin t.metrics ~parallel:false;
-    Fun.protect ~finally:(fun () -> Metrics.job_end t.metrics ~parallel:false)
-    @@ fun () ->
     let run () =
-      locked s.slock (fun () ->
+      (* the Runner compiles inside the run, installing declarations:
+         hold the prepare lock too, as a submission would *)
+      locked s.slock @@ fun () ->
+      locked s.plock (fun () ->
           let ctx = Engine.context s.engine in
           Core.Update.stats_reset ctx.Core.Context.delta_stats;
           ctx.Core.Context.apply_ns <- 0;
@@ -1951,8 +1925,8 @@ let cache_stats t = Plan_cache.stats t.cache
 let concurrency_json t =
   let g = Scheduler.gate t.sched in
   Printf.sprintf
-    "{\"footprint_scheduling\":%b,\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
-    t.footprints (Rwlock.running g)
+    "{\"running\":%d,\"running_writers\":%d,\"peak\":%d,\"writer_peak\":%d}"
+    (Rwlock.running g)
     (Rwlock.running_writers g)
     (Rwlock.peak g) (Rwlock.writer_peak g)
 

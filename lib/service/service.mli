@@ -35,11 +35,6 @@ type t
     the GC's p99 pause over the sliding 10s window exceeds it. Both
     must be positive (@raise Invalid_argument).
 
-    [footprint_scheduling] (default true) gates jobs on their static
-    effects footprints; [false] restores the binary purity gate
-    (read-everything / exclusive ⊤) — the single-writer baseline of
-    bench E21.
-
     Health telemetry: [slo_p99_ms] (default 250) / [slo_err_pct]
     (default 1) set the SLO targets behind the rolling-window burn
     rates; [trace_ring] (default 32) the TRACE ring capacity;
@@ -64,7 +59,6 @@ val create :
   ?durability:Xqb_wal.Durable.config ->
   ?replica:bool ->
   ?replica_of:string ->
-  ?footprint_scheduling:bool ->
   ?slo_p99_ms:float ->
   ?slo_err_pct:float ->
   ?trace_ring:int ->
@@ -99,16 +93,16 @@ val load_document : t -> int -> uri:string -> string -> unit
 
 (** Submit a query; returns the job id (usable with {!cancel} while
     the job is queued or running) and a future resolving to the
-    serialized result or a structured error. Parallel-safe programs
-    (Pure and allocation-free) run concurrently against a
-    submission-time fork of the session; updating programs run on the
-    session itself, concurrently with every job whose static
-    footprint is provably disjoint, their ∆ applications serialized
-    on the global apply mutex (each top-level snap is transactional:
-    an apply-time failure rolls back before the WAL sees it).
-    Effecting programs and inconclusive footprints serialize
-    exclusively under whole-job rollback, exactly the old writer
-    path.
+    serialized result or a structured error. Every program runs on
+    the session itself, under the session lock, concurrently with
+    every job whose static footprint is provably disjoint from its
+    own (a pure read's footprint writes nothing); ∆ applications
+    serialize on the global apply mutex (each top-level snap is
+    transactional: an apply-time failure rolls back before the WAL
+    sees it). Effecting programs hold ⊤ and run exclusively under
+    whole-job rollback. On a replica, a program that could change
+    the store — judged with the recorded classification of the
+    functions it calls — is rejected.
     @raise Failure on an unknown session. *)
 val submit_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
@@ -128,8 +122,8 @@ val query : t -> int -> string -> (string, Service_error.t) result
 
 (** EXPLAIN ANALYZE (wire [EXPLAIN]): run the query through the
     algebraic compiler with per-operator profiling and return the
-    annotated plan tree. Executes for real (side effects included) on
-    the write side under the usual governance; bypasses the plan
+    annotated plan tree. Executes for real (side effects included) under
+    a ⊤ footprint and the usual governance; bypasses the plan
     cache. *)
 val explain_job :
   t -> int -> string -> int * (string, Service_error.t) result Scheduler.future
@@ -155,9 +149,8 @@ val error_message : exn -> string
 
 val cache_stats : t -> Plan_cache.stats
 
-(** Footprint-gate gauges as JSON: whether footprint scheduling is
-    on, currently admitted jobs (all / holding write regions) and
-    their high-water marks since boot. Also embedded in
+(** Footprint-gate gauges as JSON: currently admitted jobs (all /
+    holding write regions) and their high-water marks since boot. Also embedded in
     {!stats_json} under ["concurrency"]. *)
 val concurrency_json : t -> string
 
@@ -260,13 +253,13 @@ val clear_gc_pause_injection : t -> unit
 val profile_command :
   t -> [ `Start | `Stop | `Dump | `Dump_json | `Stat ] -> string
 
-(** The last write-side job's ∆ statistics as JSON (requests by
+(** The last updating job's ∆ statistics as JSON (requests by
     kind, snap-depth histogram, conflicts checked, apply-phase wall
-    time) — the wire [DELTA] payload. [None] before any write-side
+    time) — the wire [DELTA] payload. [None] before any updating
     job ran. *)
 val delta_json : t -> string option
 
-(** The slow-effect log as a JSON array, newest first: write-side
+(** The slow-effect log as a JSON array, newest first: updating
     jobs whose ∆-apply phase exceeded [slow_apply_ms], each with its
     ∆ summary and trace id (wire [SLOWLOG]). *)
 val slowlog_json : t -> string

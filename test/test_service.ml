@@ -1,7 +1,7 @@
 (* The query service layer (lib/service): sessions over a shared
    document catalog, the cross-session plan cache, and the
-   purity-gated scheduler. Scheduler tests run the same workload with
-   domains=0 (synchronous) and domains=4 and require identical
+   footprint-gated scheduler. Scheduler tests run the same workload
+   with domains=0 (synchronous) and domains=4 and require identical
    results. *)
 
 open Helpers
@@ -37,13 +37,19 @@ let with_service ?(domains = 0) ?cache_capacity ?deadline_ms ?fuel ?max_delta
   Fun.protect ~finally:(fun () -> Svc.shutdown svc) (fun () -> f svc)
 
 (* A few seconds of pure evaluation when ungoverned — long enough
-   that deadlines and cancellation deterministically beat it, and it
-   classifies parallel-safe (no construction), so it exercises the
-   read side. *)
+   that deadlines and cancellation deterministically beat it; its
+   footprint writes nothing. *)
 let slow_pure =
   "sum(for $i in 1 to 2000 return count(for $j in 1 to 2000 return $j))"
 
 let doc_xml = "<r><a>1</a><a>2</a><b>x</b></r>"
+
+module J = Xqb_obs.Json
+
+let num_at v path =
+  match Option.bind (J.path v path) J.to_float_opt with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "missing %s" (String.concat "." path)
 
 let sessions =
   [
@@ -60,6 +66,21 @@ let sessions =
             check Alcotest.string "declare" "7"
               (ok (Svc.query svc s1 "declare variable $g := 7; $g"));
             ignore (err (Svc.query svc s2 "$g"))));
+    tc "a pure query's globals persist like an allocating query's" `Quick
+      (fun () ->
+        (* regression: a Pure, allocation-free program used to run in
+           a throwaway fork of the session, so its globals vanished
+           while an allocating program's persisted *)
+        with_service (fun svc ->
+            let s = Svc.open_session svc in
+            check Alcotest.string "pure declare" "7"
+              (ok (Svc.query svc s "declare variable $g := 7; $g"));
+            check Alcotest.string "pure global persists" "7"
+              (ok (Svc.query svc s "$g"));
+            check Alcotest.string "allocating declare" "1"
+              (ok (Svc.query svc s "declare variable $h := <a/>; 1"));
+            check Alcotest.string "allocating global persists" "<a></a>"
+              (ok (Svc.query svc s "$h"))));
     tc "documents load once and are shared" `Quick (fun () ->
         with_service (fun svc ->
             let s1 = Svc.open_session svc and s2 = Svc.open_session svc in
@@ -111,6 +132,43 @@ let plan_cache =
             (* the hit installs sq into s2, so the cached body runs *)
             check Alcotest.string "cache hit" "9" (ok (Svc.query svc s2 src));
             check Alcotest.int "was a hit" 1 (Svc.cache_stats svc).PC.hits));
+    tc "a cache hit is judged with the session's own declarations" `Quick
+      (fun () ->
+        (* Two sessions declare f differently; the text "f()" shares
+           one cache entry, but each call is gated on the footprint
+           its own session's f gives it. The scheduler's lock.wait
+           span records which side of the gate the job took. *)
+        let svc = Svc.create ~domains:0 ~tracing:true () in
+        Fun.protect ~finally:(fun () -> Svc.shutdown svc) @@ fun () ->
+        let s1 = Svc.open_session svc and s2 = Svc.open_session svc in
+        Svc.load_document svc s2 ~uri:"d" doc_xml;
+        ignore (ok (Svc.query svc s1 "declare function f() { 1 }; 0"));
+        ignore
+          (ok
+             (Svc.query svc s2
+                {|declare function f() { snap insert {<z/>} into {$d/r}, 1 }; 0|}));
+        let side_of_last () =
+          let trace =
+            match Svc.trace_json svc None with
+            | Some (_, j) -> j
+            | None -> Alcotest.fail "no trace recorded"
+          in
+          let has sub = Re.execp (Re.compile (Re.str sub)) trace in
+          ( (if has {|"side":"write"|} then "write"
+             else if has {|"side":"read"|} then "read"
+             else "none"),
+            has "plan.cache.hit" )
+        in
+        check Alcotest.string "pure f: compiled" "1" (ok (Svc.query svc s1 "f()"));
+        check
+          Alcotest.(pair string bool)
+          "pure f reads only" ("read", false) (side_of_last ());
+        check Alcotest.string "snap f: cached" "1" (ok (Svc.query svc s2 "f()"));
+        check
+          Alcotest.(pair string bool)
+          "snap f writes, on a cache hit" ("write", true) (side_of_last ());
+        check Alcotest.string "the snap applied" "1"
+          (ok (Svc.query svc s2 {|count($d//z)|})));
     tc "distinct string literals get distinct plans" `Quick (fun () ->
         (* Regression: normalize_key used to collapse whitespace
            inside literals, so string-length("a b") and
@@ -202,18 +260,6 @@ let mixed_workload svc =
 
 let scheduler =
   [
-    tc "pure queries classify parallel, allocating ones do not" `Quick
-      (fun () ->
-        with_service (fun svc ->
-            let s = Svc.open_session svc in
-            Svc.load_document svc s ~uri:"d" doc_xml;
-            ignore (ok (Svc.query svc s {|count(doc("d")//a)|}));
-            (* Pure but allocating (constructor): must take the write
-               side — a fork evaluating it would grow the shared store *)
-            ignore (ok (Svc.query svc s "<a/>"));
-            let _, par, excl, _ = Metrics.counts (Svc.metrics svc) in
-            check Alcotest.int "parallel" 1 par;
-            check Alcotest.int "exclusive" 1 excl));
     tc "concurrent pure queries match sequential results" `Quick (fun () ->
         let seq = with_service ~domains:0 pure_workload in
         let par = with_service ~domains:4 pure_workload in
@@ -222,13 +268,13 @@ let scheduler =
         with_service ~domains:4 (fun svc ->
             let final = mixed_workload svc in
             check Alcotest.string "4 inserts applied" "4" final;
-            let q, par, excl, errors = Metrics.counts (Svc.metrics svc) in
+            let q, errors = Metrics.counts (Svc.metrics svc) in
             check Alcotest.int "queries" 21 q;
             check Alcotest.int "errors" 0 errors;
-            (* 4 inserts take the write side; reads + the final count
-               take the read side *)
-            check Alcotest.int "exclusive" 4 excl;
-            check Alcotest.int "parallel" 17 par));
+            (* 4 inserts are Updating; reads and the final count Pure *)
+            let v = check_json "stats" (Metrics.to_json (Svc.metrics svc)) in
+            check Alcotest.int "updating" 4 (num_at v [ "queries"; "updating" ]);
+            check Alcotest.int "pure" 17 (num_at v [ "queries"; "pure" ])));
     tc "errors are reported, service stays usable" `Quick (fun () ->
         with_service ~domains:2 (fun svc ->
             let s = Svc.open_session svc in
@@ -486,13 +532,7 @@ let admission =
 
 (* -- effect observability: DELTA, SLOWLOG, METRICS PROM ------------- *)
 
-module J = Xqb_obs.Json
 module Proto = Xqb_service.Protocol
-
-let num_at v path =
-  match Option.bind (J.path v path) J.to_float_opt with
-  | Some f -> int_of_float f
-  | None -> Alcotest.failf "missing %s" (String.concat "." path)
 
 let updating_query =
   {|let $x := <x><a/></x>
@@ -1002,6 +1042,80 @@ let health =
               | _ -> Alcotest.fail "flight.health.status missing")));
   ]
 
+(* -- one job path ---------------------------------------------------- *)
+
+let store_of svc = Catalog.store (Svc.catalog svc)
+let journal_length svc = Xqb_store.Store.journal_length (store_of svc)
+let digest_of svc = Xqb_wal.Codec.store_digest_hex (store_of svc)
+
+let one_path =
+  [
+    tc "a read journals only the nodes it allocates" `Quick (fun () ->
+        (* an empty ∆ opens no transaction: a read leaves no journal
+           markers, and a constructor leaves exactly its allocation *)
+        let dir = fresh_dir () in
+        let svc = Svc.create ~domains:0 ~durability:(durable_cfg dir) () in
+        Fun.protect ~finally:(fun () -> Svc.shutdown svc) @@ fun () ->
+        let s = Svc.open_session svc in
+        Svc.load_document svc s ~uri:"a" "<a><x/><x/></a>";
+        let appended q =
+          let before = journal_length svc in
+          ignore (ok (Svc.query svc s q));
+          journal_length svc - before
+        in
+        check Alcotest.int "count($a//x)" 0 (appended "count($a//x)");
+        check Alcotest.int "<p/>" 1 (appended "<p/>"));
+    tc "§2: concurrent nextid() calls from two sessions never race" `Quick
+      (fun () ->
+        (* regression: a call to a function declared by an earlier
+           query was judged Pure, ran outside the footprint gate and
+           the WAL, and its nested snaps raced: most calls failed and
+           the counter ended up with two text nodes *)
+        let dir = fresh_dir () in
+        let cfg = durable_cfg dir in
+        let svc = Svc.create ~domains:2 ~durability:cfg () in
+        let digest =
+          Fun.protect
+            ~finally:(fun () -> Svc.shutdown svc)
+            (fun () ->
+              let sessions = [ Svc.open_session svc; Svc.open_session svc ] in
+              List.iter
+                (fun s ->
+                  Svc.load_document svc s ~uri:"ctr" "<c>0</c>";
+                  ignore
+                    (ok
+                       (Svc.query svc s
+                          {|declare function nextid() {
+                              snap { replace {$ctr/c/text()} with {$ctr/c + 1},
+                                     xs:integer($ctr/c) } };
+                            0|})))
+                sessions;
+              let errors = Stdlib.Atomic.make 0 in
+              let caller s () =
+                for _ = 1 to 200 do
+                  match Svc.query svc s "nextid()" with
+                  | Ok _ -> ()
+                  | Error _ -> Stdlib.Atomic.incr errors
+                done
+              in
+              List.iter Thread.join
+                (List.map (fun s -> Thread.create (caller s) ()) sessions);
+              check Alcotest.int "errors" 0 (Stdlib.Atomic.get errors);
+              let s = List.hd sessions in
+              check Alcotest.string "counter" "400"
+                (ok (Svc.query svc s "string($ctr/c)"));
+              check Alcotest.string "one text node" "1"
+                (ok (Svc.query svc s "count($ctr/c/text())"));
+              digest_of svc)
+        in
+        let restarted = Svc.create ~domains:0 ~durability:cfg () in
+        Fun.protect
+          ~finally:(fun () -> Svc.shutdown restarted)
+          (fun () ->
+            check Alcotest.string "digest after restart" digest
+              (digest_of restarted)));
+  ]
+
 let suite =
   [
     ("service:sessions", sessions);
@@ -1011,4 +1125,5 @@ let suite =
     ("service:admission", admission);
     ("service:observability", observability);
     ("service:health", health);
+    ("service:one-path", one_path);
   ]

@@ -135,6 +135,34 @@ let fixpoint =
         let classes = Static.classify_functions prog.N.functions in
         check Alcotest.bool "both updating" true
           (List.for_all (fun (_, _, p) -> p = Static.Updating) classes));
+    tc "a call to an earlier declaration carries its recorded class" `Quick
+      (fun () ->
+        (* §5: a function from another module carries its updating
+           flag, and a function that calls it is updating as well *)
+        let module E = Core.Engine in
+        let eng = E.create () in
+        ignore
+          (E.compile eng
+             {|declare variable $x := <x/>;
+               declare function eff() { snap insert {<a/>} into {$x} };
+               declare function alloc() { <a/> };
+               1|});
+        let c = E.compile eng "declare function wrap() { eff() }; wrap()" in
+        check Alcotest.bool "calls out" true c.E.calls_out;
+        check Alcotest.string "judged within the engine" "effecting"
+          (Static.purity_to_string (E.purity ~within:eng c));
+        check Alcotest.string "wrap recorded as effecting" "effecting"
+          (Static.purity_to_string
+             (Option.get
+                (Core.Context.find_function (E.context eng)
+                   (Xqb_xml.Qname.of_string "wrap") 0))
+               .Core.Context.purity);
+        let a = E.compile eng "alloc()" in
+        check Alcotest.bool "pure" true (E.purity ~within:eng a = Static.Pure);
+        check Alcotest.bool "but allocating: fenced" false
+          (E.parallel_safe ~within:eng a);
+        check Alcotest.bool "a program calling nothing outside" false
+          (E.compile eng "1 + 1").E.calls_out);
   ]
 
 let join_meet =

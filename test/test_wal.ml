@@ -643,6 +643,36 @@ let replication =
                  with
                 | exception Failure _ -> ()
                 | () -> Alcotest.fail "fresh load must fail on a replica"))));
+    tc "replica fence: calling a declared updating function is rejected"
+      `Quick (fun () ->
+        (* regression: the fence judged f() Pure, because f was
+           declared by an earlier query, and the call's snap changed
+           the replica's store *)
+        let dir = fresh_dir () in
+        with_durable_svc dir (fun leader ->
+            let replica = Svc.create ~domains:0 ~replica:true () in
+            Fun.protect
+              ~finally:(fun () -> Svc.shutdown replica)
+              (fun () ->
+                let ls = Svc.open_session leader in
+                Svc.load_document leader ls ~uri:"d" "<r/>";
+                let _, blob = okr "snapshot" (Svc.snapshot_blob leader) in
+                ignore (okr "bootstrap" (Svc.replica_bootstrap replica blob));
+                let rs = Svc.open_session replica in
+                (* resident after bootstrap: attaching binds $d *)
+                Svc.load_document replica rs ~uri:"d" "<r/>";
+                let before = digest_of replica in
+                check Alcotest.string "the declaration itself is a read" "0"
+                  (ok
+                     (Svc.query replica rs
+                        {|declare function f() { snap insert {<z/>} into {$d/r}, 1 }; 0|}));
+                let e = err (Svc.query replica rs "f()") in
+                check Alcotest.bool "read-only error" true
+                  (Re.execp
+                     (Re.compile (Re.str "read-only replica"))
+                     (SE.to_string e));
+                check Alcotest.string "replica store unchanged" before
+                  (digest_of replica))));
     tc "corrupt frame batches are rejected before any apply" `Quick
       (fun () ->
         let replica = Svc.create ~domains:0 ~replica:true () in
